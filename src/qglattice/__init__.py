@@ -11,9 +11,7 @@ from .numerics import (
     DEFAULT_TOL,
     NumericError,
     ToleranceConfig,
-    det_complex,
     find_root,
-    scan_sign_changes,
 )
 from .vertex import (
     BoundaryPair,
@@ -61,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bracket", "DEFAULT_TOL", "NumericError", "ToleranceConfig",
-    "det_complex", "find_root", "scan_sign_changes",
+    "find_root",
     "BoundaryPair", "ScatteringMatrix", "VertexCoupling",
     "boundary_pair", "cyclic_coupling", "energy_limit",
     "s_matrix", "s_matrix_closed_form",

@@ -146,12 +146,7 @@ def cmd_dispersion(args) -> int:
     rows = [[r.point.theta1, r.point.theta2, r.branch, r.momentum, r.energy, r.residual]
             for r in roots]
     if args.format == "csv":
-        header = "theta1,theta2,branch,momentum,energy,residual"
-        lines = [header]
-        for row in rows:
-            lines.append(",".join([_fmt(row[0]), _fmt(row[1]), str(row[2]),
-                                   _fmt(row[3]), _fmt(row[4]), _fmt(row[5])]))
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(_csv("theta1,theta2,branch,momentum,energy,residual", rows), args.output)
     else:
         _emit(json.dumps({
             "model": model.kind,

@@ -39,7 +39,6 @@ from .numerics import (
     Bracket,
     NumericError,
     ToleranceConfig,
-    det_complex,
     find_root,
 )
 
@@ -170,38 +169,14 @@ def bloch_param(model: LatticeModel, point: BlochPoint) -> float:
     return math.cos(t1) + math.cos(t1 - t2) + math.cos(t2)
 
 
-@lru_cache(maxsize=4)
-def _hex_derived_range() -> tuple[float, float]:
-    """Extrema of d over the torus: dense grid plus local refinement."""
-    from scipy.optimize import minimize
-
-    n = 2048
-    th = -np.pi + 2.0 * np.pi * np.arange(1, n + 1) / n
-    c, s = np.cos(th), np.sin(th)
-    vals = c[:, None] + c[None, :] + (np.outer(c, c) + np.outer(s, s))
-    flat_min = int(np.argmin(vals))
-    flat_max = int(np.argmax(vals))
-
-    def d_of(x: np.ndarray) -> float:
-        return math.cos(x[0]) + math.cos(x[0] - x[1]) + math.cos(x[1])
-
-    opts = {"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000}
-    starts = [
-        np.array([th[flat_min // n], th[flat_min % n]]),
-        np.array([th[flat_max // n], th[flat_max % n]]),
-    ]
-    lo = min(float(np.min(vals)), float(minimize(d_of, starts[0], method="Nelder-Mead", options=opts).fun))
-    hi = max(float(np.max(vals)), float(-minimize(lambda x: -d_of(x), starts[1], method="Nelder-Mead", options=opts).fun))
-    return lo, hi
-
-
 def param_range(kind: str, mode: str = "derived") -> ParamRange:
     """Admissible Bloch-parameter interval.
 
     The square parameter spans exactly [-1, 1].  For the hexagonal lattice
-    the published interval is [-1, 3]; brute-force minimization over the
-    torus gives [-3/2, 3] instead, so both are available and callers choose
-    through ``mode``.
+    the published interval is [-1, 3]; the identity
+    |1 + e^{i t1} + e^{i t2}|^2 = 3 + 2 d >= 0 gives [-3/2, 3] instead (the
+    minimum at t1 = -t2 = 2 pi/3, the maximum at the origin), so both are
+    available and callers choose through ``mode``.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
@@ -211,8 +186,7 @@ def param_range(kind: str, mode: str = "derived") -> ParamRange:
         return ParamRange(-1.0, 1.0, mode)
     if mode == "paper":
         return ParamRange(-1.0, 3.0, "paper")
-    lo, hi = _hex_derived_range()
-    return ParamRange(lo, hi, "derived")
+    return ParamRange(-1.5, 3.0, "derived")
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +224,7 @@ def _cleared(model: LatticeModel, x, positive: bool):
     return _cleared_positive(model, x) if positive else _cleared_negative(model, x)
 
 
-def _identity_scale(model: LatticeModel, x: float, positive: bool) -> float:
+def _identity_scale(model: LatticeModel, x: float) -> float:
     k2 = x * x
     if model.kind == "square":
         return 1.0 + k2
@@ -272,7 +246,7 @@ def required_param(model: LatticeModel, e: float, tol: ToleranceConfig = DEFAULT
     x = math.sqrt(abs(e))
     alpha, beta = _cleared(model, x, positive)
     if abs(alpha) <= _ALPHA_SINGULAR:
-        if abs(beta) <= tol.residual_zero * _identity_scale(model, x, positive):
+        if abs(beta) <= tol.residual_zero * _identity_scale(model, x):
             return ParamRequirement("all_pass")
         return ParamRequirement("no_pass")
     return ParamRequirement("value", beta / alpha)
@@ -291,13 +265,7 @@ def is_member(model: LatticeModel, e: float, range_mode: str = "derived",
     """Spectral membership of energy e via the cleared-denominator reduction."""
     if _is_flat_energy(model, e):
         return True
-    req = required_param(model, e, tol)
-    if req.status == "all_pass":
-        return True
-    if req.status == "no_pass":
-        return False
-    pr = param_range(model.kind, range_mode)
-    return pr.lo <= req.value <= pr.hi
+    return _member_value(model, math.sqrt(abs(e)), e > 0.0, param_range(model.kind, range_mode), tol)
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +340,7 @@ def _member_value(model: LatticeModel, x: float, positive: bool, pr: ParamRange,
                   tol: ToleranceConfig) -> bool:
     alpha, beta = _cleared(model, x, positive)
     if abs(alpha) <= _ALPHA_SINGULAR:
-        return abs(beta) <= tol.residual_zero * _identity_scale(model, x, positive)
+        return abs(beta) <= tol.residual_zero * _identity_scale(model, x)
     v = beta / alpha
     return pr.lo <= v <= pr.hi
 
@@ -606,8 +574,8 @@ def secular_determinant(model: LatticeModel, k: float, point: BlochPoint) -> com
     if k <= 0.0:
         raise ValueError("momentum must be positive")
     if model.kind == "square":
-        return det_complex(_secular_matrix_square(model, k, point))
-    return det_complex(_secular_matrix_hex(model, k, point))
+        return complex(np.linalg.det(_secular_matrix_square(model, k, point)))
+    return complex(np.linalg.det(_secular_matrix_hex(model, k, point)))
 
 
 def secular_determinant_factored(model: LatticeModel, k: float, point: BlochPoint) -> complex:
@@ -784,7 +752,8 @@ def dispersion_sheets(model: LatticeModel, grid_n: int, window: tuple[float, flo
     e_lo, e_hi = window
     if not e_lo < e_hi:
         raise ValueError("window must be non-degenerate")
-    thetas = [-math.pi + 2.0 * math.pi * (i + 1) / grid_n for i in range(grid_n)]
+    # the last phase, -pi + 2 pi n / n, can round above pi
+    thetas = [min(math.pi, -math.pi + 2.0 * math.pi * (i + 1) / grid_n) for i in range(grid_n)]
     out: list[DispersionRoot] = []
     for t1 in thetas:
         for t2 in thetas:

@@ -1,5 +1,4 @@
-"""Shared numeric substrate: bracketed root finding, sign-change scanning,
-and small dense complex determinants.
+"""Shared numeric substrate: tolerances and bracketed root finding.
 
 Everything here is pure and reentrant; no shared mutable state.
 """
@@ -9,16 +8,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "NumericError",
     "ToleranceConfig",
     "Bracket",
     "DEFAULT_TOL",
     "find_root",
-    "scan_sign_changes",
-    "det_complex",
 ]
 
 _MAX_ITERATIONS = 200
@@ -102,61 +97,3 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: ToleranceConfi
             hi, f_hi = x, fx
         use_secant = not use_secant
     raise NumericError(f"root refinement did not converge on [{bracket.lo}, {bracket.hi}]")
-
-
-def scan_sign_changes(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> list[Bracket]:
-    """Brackets between consecutive points of an ``n``-point grid on [lo, hi].
-
-    A grid cell qualifies when f changes sign across it or touches zero
-    (|f| <= residual_zero) at either end; touched values are clamped to 0
-    so tangential zeros (no sign change) are still reported.
-    """
-    if not lo < hi:
-        raise ValueError("scan requires lo < hi")
-    if n < 2:
-        raise ValueError("scan requires at least 2 grid points")
-    xs = np.linspace(lo, hi, n)
-    fs = np.array([f(float(x)) for x in xs], dtype=float)
-    fs[np.abs(fs) <= tol.residual_zero] = 0.0
-    out: list[Bracket] = []
-    for i in range(n - 1):
-        if fs[i] * fs[i + 1] <= 0.0:
-            out.append(Bracket(float(xs[i]), float(xs[i + 1]), float(fs[i]), float(fs[i + 1])))
-    return out
-
-
-def det_complex(m: np.ndarray) -> complex:
-    """Determinant of a small dense complex matrix via pivoted elimination.
-
-    Dimensions 1 and 2 are evaluated directly (exactly); larger matrices,
-    up to 8x8, use Gaussian elimination with partial pivoting.  A singular
-    matrix yields a value on the order of rounding error.
-    """
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    dim = a.shape[0]
-    if dim > 8:
-        raise ValueError("matrices beyond dimension 8 are not supported")
-    if dim == 1:
-        return complex(a[0, 0])
-    if dim == 2:
-        return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    det = 1.0 + 0.0j
-    for col in range(dim):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0.0:
-            return 0.0 + 0.0j
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            det = -det
-        det *= a[col, col]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-    return complex(det)

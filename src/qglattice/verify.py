@@ -12,8 +12,8 @@ Asymptotic claims are tested through finite surrogates whose tolerances
 scale like the stated error terms, with constant 10 (an O(1/m) error term
 becomes a tolerance of 10/m, and so on).  Claims whose outcome depends on
 the choice of the hexagonal parameter range are evaluated under both the
-published and the derived range; when the two disagree, the pair of
-records is marked informational.
+published and the derived range; since the two ranges differ, the
+derived-range record of each pair is informational.
 """
 from __future__ import annotations
 
@@ -214,7 +214,7 @@ def verify_hexagonal(l_set: tuple[float, ...] = (0.5, 2.0, 5.0, 10.0),
     """Recompute every registered hexagonal-lattice claim.
 
     Claims touched by the parameter-range question carry paired records
-    (range=paper / range=derived); pairs that disagree are informational.
+    (range=paper / range=derived); the derived-range record is informational.
     """
     records: list[ClaimRecord] = []
     threshold = 2.0 / _SQRT3
@@ -268,13 +268,12 @@ def verify_hexagonal(l_set: tuple[float, ...] = (0.5, 2.0, 5.0, 10.0),
     probe = LatticeModel("hexagonal", 0.05)
     paper_edges = (-2.0 * _SQRT3 / 0.05, -2.0 / 0.05)
     slack = 10.0 / math.sqrt(0.05)
-    derived_differs = abs(param_range("hexagonal", "derived").lo - (-1.0)) > 1e-9
     for mode in ("paper", "derived"):
         _, segs = _negative_band_segments(probe, mode, tol)
         first = min(segs, key=lambda s: s.e_lo)
         records.append(_record("hex-first-band-small-length", f"l=0.05,range={mode}",
                                paper_edges, (first.e_lo, first.e_hi), slack,
-                               informational=(mode == "derived" and derived_differs)))
+                               informational=(mode == "derived")))
 
     # pair structure and asymptotics at l = 2
     model = LatticeModel("hexagonal", 2.0)
@@ -341,8 +340,8 @@ def verify_inconsistencies(tol: ToleranceConfig = DEFAULT_TOL) -> list[ClaimReco
         status="informational",
     ))
 
-    # 2. the hexagonal Bloch-parameter interval is quoted as [-1, 3]; direct
-    #    minimization over the torus gives -3/2 at (2pi/3, -2pi/3).
+    # 2. the hexagonal Bloch-parameter interval is quoted as [-1, 3]; the
+    #    identity |1 + e^{i t1} + e^{i t2}|^2 = 3 + 2d gives -3/2 at (2pi/3, -2pi/3).
     lo = param_range("hexagonal", "derived").lo
     records.append(ClaimRecord(
         claim_id="inconsistency-bloch-parameter-minimum",

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from qglattice.lattice import (
@@ -32,6 +35,28 @@ def model(l: float) -> LatticeModel:
     return LatticeModel("hexagonal", l)
 
 
+def brute_force_range() -> tuple[float, float]:
+    """Extrema of d over the torus: dense grid plus Nelder-Mead refinement."""
+    from scipy.optimize import minimize
+
+    n = 2048
+    th = -np.pi + 2.0 * np.pi * np.arange(1, n + 1) / n
+    c, s = np.cos(th), np.sin(th)
+    vals = c[:, None] + c[None, :] + (np.outer(c, c) + np.outer(s, s))
+    flat_min = int(np.argmin(vals))
+    flat_max = int(np.argmax(vals))
+
+    def d_of(x: np.ndarray) -> float:
+        return math.cos(x[0]) + math.cos(x[0] - x[1]) + math.cos(x[1])
+
+    opts = {"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000}
+    start_min = np.array([th[flat_min // n], th[flat_min % n]])
+    start_max = np.array([th[flat_max // n], th[flat_max % n]])
+    lo = min(float(np.min(vals)), float(minimize(d_of, start_min, method="Nelder-Mead", options=opts).fun))
+    hi = max(float(np.max(vals)), float(-minimize(lambda x: -d_of(x), start_max, method="Nelder-Mead", options=opts).fun))
+    return lo, hi
+
+
 class TestBlochParam:
     def test_sample_point(self):
         assert bloch_param(model(1.0), BlochPoint(math.pi, 0.0)) == pytest.approx(-1.0)
@@ -47,9 +72,25 @@ class TestBlochParam:
 
     def test_derived_range(self):
         pr = param_range("hexagonal", "derived")
-        assert pr.lo == pytest.approx(-1.5, abs=1e-9)
-        assert pr.hi == pytest.approx(3.0, abs=1e-12)
+        assert (pr.lo, pr.hi) == (-1.5, 3.0)
         assert pr.provenance == "derived"
+
+    def test_derived_range_matches_brute_force(self):
+        lo, hi = brute_force_range()
+        pr = param_range("hexagonal", "derived")
+        assert lo == pytest.approx(pr.lo, abs=1e-12)
+        assert hi == pytest.approx(pr.hi, abs=1e-12)
+
+    def test_hexagonal_path_does_not_import_scipy_optimize(self):
+        code = (
+            "import sys\n"
+            "from qglattice.lattice import LatticeModel, is_member, param_range\n"
+            "param_range('hexagonal')\n"
+            "is_member(LatticeModel('hexagonal', 1.0), 0.5)\n"
+            "sys.exit(int('scipy.optimize' in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRequiredParam:

@@ -169,10 +169,12 @@ class TestDegenerateLengths:
 
 class TestDispersionSheets:
     def test_roots_have_small_residual(self):
-        roots = dispersion_sheets(model(math.pi), 4, (0.0, 16.0))
-        assert roots
-        for r in roots:
-            assert r.residual < 1e-10
+        # at grids 13 and 26 the last phase -pi + 2 pi n / n rounds above pi
+        for grid in (4, 13, 26):
+            roots = dispersion_sheets(model(math.pi), grid, (0.0, 16.0))
+            assert roots
+            for r in roots:
+                assert r.residual < 1e-10
 
     def test_root_count_matches_denser_scan(self):
         from qglattice.numerics import DEFAULT_TOL, ToleranceConfig

@@ -2,19 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qglattice.numerics import (
     Bracket,
     DEFAULT_TOL,
     ToleranceConfig,
-    det_complex,
     find_root,
-    scan_sign_changes,
 )
-
-from conftest import cofactor_det
 
 
 def _bracket(f, lo, hi):
@@ -85,80 +79,3 @@ class TestFindRoot:
     def test_endpoint_zero_short_circuits(self):
         f = lambda x: x - 1.0
         assert find_root(f, Bracket(1.0, 2.0, 0.0, 1.0)) == 1.0
-
-
-class TestScanSignChanges:
-    def test_sine_roots(self):
-        brackets = scan_sign_changes(math.sin, 0.1, 9.5, 100)
-        assert len(brackets) == 3
-        for b, target in zip(brackets, (math.pi, 2.0 * math.pi, 3.0 * math.pi)):
-            assert b.lo <= target <= b.hi
-
-    def test_constant_has_no_brackets(self):
-        assert scan_sign_changes(lambda x: 1.0, 0.0, 1.0, 10) == []
-
-    def test_matches_denser_oracle_scan(self):
-        f = lambda k: math.cos(1.5 * k) - (1.0 - k * k) / (1.0 + k * k)
-        n = DEFAULT_TOL.scan_density * 16
-        coarse = scan_sign_changes(f, 1e-6, 10.0, n)
-        dense = scan_sign_changes(f, 1e-6, 10.0, 100 * n)
-        assert len(coarse) == len(dense)
-
-    def test_ordered_by_lo(self):
-        brackets = scan_sign_changes(math.sin, 0.1, 31.0, 300)
-        los = [b.lo for b in brackets]
-        assert los == sorted(los)
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            scan_sign_changes(math.sin, 0.0, 1.0, 1)
-
-    @given(st.integers(min_value=20, max_value=200))
-    @settings(max_examples=25, deadline=None)
-    def test_refining_never_loses_roots(self, n):
-        f = lambda x: math.sin(1.7 * x) + 0.1
-        coarse = scan_sign_changes(f, 0.0, 12.0, n)
-        fine = scan_sign_changes(f, 0.0, 12.0, 4 * n)
-        for b in coarse:
-            if b.f_lo * b.f_hi < 0.0:
-                assert any(fb.hi >= b.lo and fb.lo <= b.hi for fb in fine)
-
-
-class TestDetComplex:
-    def test_identity(self):
-        assert det_complex(np.eye(4)) == pytest.approx(1.0)
-
-    def test_diag_i_i(self):
-        assert det_complex(np.diag([1j, 1j])) == pytest.approx(-1.0 + 0.0j)
-
-    def test_one_by_one(self):
-        assert det_complex(np.array([[2.5 + 1j]])) == 2.5 + 1j
-
-    def test_random_6x6_against_cofactor_oracle(self, rng):
-        for _ in range(5):
-            m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            ours = det_complex(m)
-            oracle = cofactor_det(m)
-            assert abs(ours - oracle) <= 1e-10 * max(1.0, abs(oracle))
-
-    def test_singular_is_tiny(self):
-        m = np.ones((3, 3), dtype=complex)
-        assert abs(det_complex(m)) <= 1e-12
-
-    def test_rejects_large(self):
-        with pytest.raises(ValueError):
-            det_complex(np.eye(9))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            det_complex(np.ones((2, 3)))
-
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_multiplicative(self, dim, seed):
-        gen = np.random.default_rng(seed)
-        a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-        b = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-        lhs = det_complex(a @ b)
-        rhs = det_complex(a) * det_complex(b)
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))

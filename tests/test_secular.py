@@ -12,6 +12,8 @@ from qglattice.lattice import (
 )
 from qglattice.numerics import Bracket, find_root
 
+from conftest import cofactor_det
+
 
 def random_point(rng) -> BlochPoint:
     t1, t2 = rng.uniform(-math.pi, math.pi, 2)
@@ -58,6 +60,22 @@ class TestCalibration:
             secular_determinant(model, 0.0, BlochPoint(0.1, 0.2))
         with pytest.raises(ValueError):
             secular_determinant_factored(model, -1.0, BlochPoint(0.1, 0.2))
+
+
+class TestDeterminantRoute:
+    @pytest.mark.parametrize("kind", ["square", "hexagonal"])
+    def test_matches_cofactor_expansion(self, kind, rng):
+        from qglattice.lattice import _secular_matrix_hex, _secular_matrix_square
+
+        assemble = _secular_matrix_square if kind == "square" else _secular_matrix_hex
+        for _ in range(20):
+            model = LatticeModel(kind, float(rng.uniform(0.3, 3.0)))
+            k = float(rng.uniform(0.05, 6.0))
+            point = random_point(rng)
+            m = assemble(model, k, point)
+            # Hadamard's bound on |det m|, the scale of rounding in either route
+            scale = float(np.prod(np.linalg.norm(m, axis=1)))
+            assert abs(secular_determinant(model, k, point) - cofactor_det(m)) <= 1e-12 * scale
 
 
 class TestZeroSets:
