@@ -41,18 +41,34 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _tolerances() -> ToleranceConfig:
     kw = {}
-    for field, env in (
-        ("root_abs", "QGLATTICE_ROOT_ABS"),
-        ("residual_zero", "QGLATTICE_RESIDUAL_ZERO"),
-        ("degenerate_width", "QGLATTICE_DEGENERATE_WIDTH"),
+    for field, env, parse in (
+        ("root_abs", "QGLATTICE_ROOT_ABS", _finite),
+        ("residual_zero", "QGLATTICE_RESIDUAL_ZERO", _finite),
+        ("degenerate_width", "QGLATTICE_DEGENERATE_WIDTH", _finite),
+        ("scan_density", "QGLATTICE_SCAN_DENSITY", int),
     ):
         if env in os.environ:
-            kw[field] = float(os.environ[env])
-    if "QGLATTICE_SCAN_DENSITY" in os.environ:
-        kw["scan_density"] = int(os.environ["QGLATTICE_SCAN_DENSITY"])
-    return ToleranceConfig(**kw)
+            try:
+                kw[field] = parse(os.environ[env])
+            except (ValueError, argparse.ArgumentTypeError):
+                raise _UsageError(f"{env}: invalid value {os.environ[env]!r}") from None
+    try:
+        return ToleranceConfig(**kw)
+    except ValueError as exc:
+        raise _UsageError(f"QGLATTICE_* tolerances: {exc}") from None
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -142,6 +158,8 @@ def cmd_dispersion(args) -> int:
     if args.emax <= 0.0:
         raise _UsageError("emax must be positive")
     emin = args.emin if args.emin is not None else -args.emax
+    if not emin < args.emax:
+        raise _UsageError("emin must be below emax")
     roots = lattice.dispersion_sheets(model, args.grid, (emin, args.emax), _tolerances())
     rows = [[r.point.theta1, r.point.theta2, r.branch, r.momentum, r.energy, r.residual]
             for r in roots]
@@ -158,9 +176,12 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lengths = tuple(float(x) for x in args.lengths.split(","))
+    try:
+        lengths = tuple(_finite(x) for x in args.lengths.split(","))
+    except argparse.ArgumentTypeError:
+        lengths = ()
     if not lengths or any(l <= 0.0 for l in lengths):
-        raise _UsageError("lengths must be a comma-separated list of positive reals")
+        raise _UsageError("lengths must be a comma-separated list of positive finite reals")
     tol = _tolerances()
     kind = _model(args.lattice, lengths[0]).kind
     if kind == "square":
@@ -219,9 +240,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bands", help="band structure in an energy window")
     p.add_argument("--lattice", choices=("square", "hex", "hexagonal"), required=True)
-    p.add_argument("--length", type=float, required=True)
-    p.add_argument("--emin", type=float, required=True)
-    p.add_argument("--emax", type=float, required=True)
+    p.add_argument("--length", type=_finite, required=True)
+    p.add_argument("--emin", type=_finite, required=True)
+    p.add_argument("--emax", type=_finite, required=True)
     p.add_argument("--range", choices=("derived", "paper"), default="derived")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
@@ -229,10 +250,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dispersion", help="dispersion sheet data over the Brillouin zone")
     p.add_argument("--lattice", choices=("square", "hex", "hexagonal"), required=True)
-    p.add_argument("--length", type=float, required=True)
+    p.add_argument("--length", type=_finite, required=True)
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--emax", type=float, required=True)
-    p.add_argument("--emin", type=float, default=None)
+    p.add_argument("--emax", type=_finite, required=True)
+    p.add_argument("--emin", type=_finite, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_dispersion)
@@ -247,7 +268,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("detcheck", help="assembled vs factored secular determinant")
     p.add_argument("--lattice", choices=("square", "hex", "hexagonal"), required=True)
-    p.add_argument("--length", type=float, default=1.0)
+    p.add_argument("--length", type=_finite, default=1.0)
     p.add_argument("--samples", type=int, required=True)
     p.set_defaults(func=cmd_detcheck)
 

@@ -84,8 +84,8 @@ class LatticeModel:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if not self.edge_length > 0.0:
-            raise ValueError("edge length must be positive")
+        if not (math.isfinite(self.edge_length) and self.edge_length > 0.0):
+            raise ValueError("edge length must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -345,50 +345,62 @@ def _member_value(model: LatticeModel, x: float, positive: bool, pr: ParamRange,
     return pr.lo <= v <= pr.hi
 
 
-def _ac_intervals(model: LatticeModel, x_lo: float, x_hi: float, positive: bool,
-                  range_mode: str, tol: ToleranceConfig) -> list[tuple[float, float]]:
-    """Maximal momentum intervals where the spectral condition is solvable.
+def _condition_roots(model: LatticeModel, params, x_lo: float, x_hi: float, positive: bool,
+                     tol: ToleranceConfig, touch: float = 0.0) -> list[list[float]]:
+    """Roots of f_p(x) = beta(x) - alpha(x) * p on [x_lo, x_hi], one unsorted list per p.
 
-    Band edges are the momenta where the required parameter hits an end of
-    its range, i.e. roots of f_p(x) = beta(x) - alpha(x) * p for p at the
-    range endpoints.  Both f_p are scanned for sign changes (each edge is a
-    simple, grid-visible crossing), refined, and the cells between
-    consecutive cuts are classified by membership at their midpoint.
+    One scan grid and one evaluation of (alpha, beta) serve every p; rows f_p
+    are formed one at a time, so memory stays O(grid).  Roots are strict sign
+    changes between grid points (+-inf counts by its sign, NaN never) refined
+    by ``find_root``, and grid points with |f_p| <= residual_zero * (1 + |alpha|
+    * touch), exact zeros for touch = 0.  Callers merge near-duplicates with
+    ``_dedupe``.
     """
     if not x_lo < x_hi:
-        return []
-    pr = param_range(model.kind, range_mode)
+        return [[] for _ in params]
     grid = _scan_grid(model, x_lo, x_hi, positive, tol)
     with np.errstate(over="ignore", invalid="ignore"):
         alpha, beta = _cleared(model, grid, positive)
-
-    cuts: list[float] = []
-    for p in (pr.lo, pr.hi):
-        fv = beta - alpha * p
-        scale = 1.0 + np.abs(alpha) * max(abs(pr.lo), abs(pr.hi))
-
+    zero = tol.residual_zero * (1.0 + np.abs(alpha) * touch) if touch else 0.0
+    out: list[list[float]] = []
+    for p in params:
         def f(x: float, _p: float = p) -> float:
             a, b = _cleared(model, x, positive)
             return b - a * _p
 
-        for i in range(len(grid) - 1):
-            a, b = float(fv[i]), float(fv[i + 1])
-            if not (math.isfinite(a) or math.isfinite(b)):
-                continue
-            if abs(a) <= tol.residual_zero * float(scale[i]):
-                cuts.append(float(grid[i]))  # tangential touch at a grid point
-            if (a < 0.0 < b) or (b < 0.0 < a):
-                cuts.append(find_root(f, Bracket(float(grid[i]), float(grid[i + 1]), a, b), tol))
-        last = float(fv[-1])
-        if math.isfinite(last) and abs(last) <= tol.residual_zero * float(scale[-1]):
-            cuts.append(float(grid[-1]))
+        fv = beta - alpha * p
+        a, b = fv[:-1], fv[1:]
+        cross = np.nonzero(((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0)))[0]
+        roots = [find_root(f, Bracket(float(grid[i]), float(grid[i + 1]), float(a[i]), float(b[i])), tol)
+                 for i in cross]
+        out.append(roots + grid[np.abs(fv) <= zero].tolist())
+    return out
 
-    cuts.sort()
-    pts = [x_lo]
-    for c in cuts:
-        if x_lo < c < x_hi and c - pts[-1] > 4.0 * tol.root_abs * max(1.0, abs(c)):
-            pts.append(c)
-    pts.append(x_hi)
+
+def _dedupe(xs: list[float], tol: ToleranceConfig) -> list[float]:
+    """Sorted xs, dropping each value within 4 root_abs (relative above 1) of the last kept one."""
+    kept: list[float] = []
+    for x in sorted(xs):
+        if not kept or x - kept[-1] > 4.0 * tol.root_abs * max(1.0, abs(x)):
+            kept.append(x)
+    return kept
+
+
+def _ac_intervals(model: LatticeModel, x_lo: float, x_hi: float, positive: bool,
+                  range_mode: str, tol: ToleranceConfig) -> list[tuple[float, float]]:
+    """Maximal momentum intervals (x_lo < x_hi) where the spectral condition is solvable.
+
+    Band edges are the momenta where the required parameter hits an end of
+    its range: the ``_condition_roots`` of f_p for p at both range
+    endpoints, with grid points where f_p nearly vanishes (relative to the
+    parameter term) kept as tangential touches.  The cuts of both endpoints
+    are deduplicated together, starting from x_lo, and the cells between
+    consecutive cuts are classified by membership at their midpoint.
+    """
+    pr = param_range(model.kind, range_mode)
+    lo_cuts, hi_cuts = _condition_roots(model, (pr.lo, pr.hi), x_lo, x_hi, positive, tol,
+                                        touch=max(abs(pr.lo), abs(pr.hi)))
+    pts = _dedupe([x_lo] + [c for c in lo_cuts + hi_cuts if c < x_hi], tol) + [x_hi]
 
     intervals: list[tuple[float, float]] = []
     open_start: float | None = None
@@ -396,10 +408,9 @@ def _ac_intervals(model: LatticeModel, x_lo: float, x_hi: float, positive: bool,
         if _member_value(model, 0.5 * (a + b), positive, pr, tol):
             if open_start is None:
                 open_start = a
-        else:
-            if open_start is not None:
-                intervals.append((open_start, a))
-                open_start = None
+        elif open_start is not None:
+            intervals.append((open_start, a))
+            open_start = None
     if open_start is not None:
         intervals.append((open_start, x_hi))
     return intervals
@@ -477,13 +488,17 @@ def spectral_infimum(model: LatticeModel, range_mode: str = "derived",
     """Bottom of the spectrum: the lowest edge of the lowest negative band.
 
     The search window in kappa grows until membership fails throughout a
-    full decade above the lowest found edge.
+    full decade above the lowest found edge.  Every window covers the
+    singular momenta, so one without a band means the scan lost it (at large
+    edge lengths the band is narrower than the scan resolves): NumericError.
     """
     l = model.edge_length
     kap_hi = max(4.0, 2.0 * _SQRT3, 3.0 * math.sqrt(2.0 / l))
     for _ in range(40):
         intervals = _ac_intervals(model, _X_FLOOR, kap_hi, False, range_mode, tol)
-        if intervals and intervals[-1][1] <= kap_hi / 10.0:
+        if not intervals:
+            raise NumericError(f"no negative band resolved for {model.kind} edge length {l!r}")
+        if intervals[-1][1] <= kap_hi / 10.0:
             return -intervals[-1][1] ** 2
         kap_hi *= 4.0
     raise NumericError("negative spectrum search did not terminate")
@@ -639,7 +654,7 @@ def brillouin_membership_oracle(model: LatticeModel, e: float, grid_n: int = 512
                 coef = (1.0 - x * x) / (1.0 + x * x)
                 f = math.cos(x * l) - coef * params
             else:
-                coef = (1.0 + x * x) / (1.0 - x * x)
+                coef = (1.0 + x * x) / (1.0 - x * x) if x != 1.0 else math.inf
                 f = _cosh_safe(x * l) - coef * params
             scale = 1.0 + abs(coef) if math.isfinite(coef) else 1.0
         else:
@@ -652,7 +667,7 @@ def brillouin_membership_oracle(model: LatticeModel, e: float, grid_n: int = 512
                 f = _cosh_safe(2.0 * x * l) - (k2 * k2 + 6.0 * k2 - 3.0 + 4.0 * params * (k2 + 1.0)) / denom
                 coef = 4.0 * (k2 + 1.0) / denom if denom > 0.0 else math.inf
                 scale = 1.0 + 3.0 * coef if math.isfinite(coef) else 1.0
-    f = f[np.isfinite(f)] if not np.all(np.isfinite(f)) else f
+    f = f[~np.isnan(f)] if np.isnan(f).any() else f  # +-inf keeps its sign (a pole spans both)
     if f.size == 0:
         return False
     fmin, fmax = float(np.min(f)), float(np.max(f))
@@ -741,11 +756,11 @@ def dispersion_sheets(model: LatticeModel, grid_n: int, window: tuple[float, flo
                       tol: ToleranceConfig = DEFAULT_TOL) -> list[DispersionRoot]:
     """Momentum roots of the spectral condition on a Bloch-point grid.
 
-    For every grid point of the torus, all momenta solving the positive and
-    negative conditions inside the energy window are located by a density-
-    controlled scan plus bracketed refinement.  Flat momenta are not sheet
-    roots (the condition is nonzero there).  Output order is deterministic:
-    (theta1, theta2, branch), branches sorted by energy.
+    The condition depends on a point only through its Bloch parameter p, and
+    grid points share few p values, so both conditions are solved inside the
+    window once per distinct p (``_condition_roots``, momenta from 1e-6 up).
+    Flat momenta are not sheet roots (the condition is nonzero there).  Output
+    order is deterministic: (theta1, theta2, branch), branches sorted by energy.
     """
     if grid_n < 2:
         raise ValueError("grid must have at least 2 points per axis")
@@ -754,56 +769,18 @@ def dispersion_sheets(model: LatticeModel, grid_n: int, window: tuple[float, flo
         raise ValueError("window must be non-degenerate")
     # the last phase, -pi + 2 pi n / n, can round above pi
     thetas = [min(math.pi, -math.pi + 2.0 * math.pi * (i + 1) / grid_n) for i in range(grid_n)]
-    out: list[DispersionRoot] = []
-    for t1 in thetas:
-        for t2 in thetas:
-            point = BlochPoint(t1, t2)
-            p = bloch_param(model, point)
-            roots: list[tuple[float, float, float]] = []  # (energy, momentum, residual)
-            if e_lo < 0.0:
-                kap_lo = math.sqrt(-e_hi) if e_hi < 0.0 else _X_FLOOR
-                for kap in _condition_roots(model, p, kap_lo, math.sqrt(-e_lo), False, tol):
-                    roots.append((-kap * kap, kap, _condition_residual(model, kap, p, False)))
-            if e_hi > 0.0:
-                k_lo = math.sqrt(e_lo) if e_lo > 0.0 else _X_FLOOR
-                for k in _condition_roots(model, p, k_lo, math.sqrt(e_hi), True, tol):
-                    roots.append((k * k, k, _condition_residual(model, k, p, True)))
-            roots.sort()
-            for branch, (energy, momentum, residual) in enumerate(roots):
-                out.append(DispersionRoot(point, branch, momentum, energy, residual))
-    return out
-
-
-def _condition_roots(model: LatticeModel, p: float, x_lo: float, x_hi: float,
-                     positive: bool, tol: ToleranceConfig) -> list[float]:
-    if not x_lo < x_hi:
-        return []
-    x_lo = max(x_lo, _X_FLOOR)
-    grid = _scan_grid(model, x_lo, x_hi, positive, tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha, beta = _cleared(model, grid, positive)
-    fv = beta - alpha * p
-
-    def f(x: float) -> float:
-        a, b = _cleared(model, x, positive)
-        return b - a * p
-
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        a, b = float(fv[i]), float(fv[i + 1])
-        if not (math.isfinite(a) and math.isfinite(b)):
-            continue
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif (a < 0.0 < b) or (b < 0.0 < a):
-            roots.append(find_root(f, Bracket(float(grid[i]), float(grid[i + 1]), a, b), tol))
-    if len(grid) and float(fv[-1]) == 0.0:
-        roots.append(float(grid[-1]))
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or r - deduped[-1] > 4.0 * tol.root_abs * max(1.0, abs(r)):
-            deduped.append(r)
-    return deduped
+    points = [BlochPoint(t1, t2) for t1 in thetas for t2 in thetas]
+    params = [bloch_param(model, point) for point in points]
+    by_param: dict[float, list[tuple[float, float, float]]] = {p: [] for p in params}  # (E, x, residual)
+    for positive, lo, hi in ((False, -e_hi, -e_lo), (True, e_lo, e_hi)):  # x^2 in [lo, hi]
+        if hi > 0.0:
+            x_lo = max(math.sqrt(max(lo, 0.0)), _X_FLOOR)
+            for p, xs in zip(by_param, _condition_roots(model, by_param, x_lo, math.sqrt(hi), positive, tol)):
+                by_param[p] += [(x * x if positive else -x * x, x, _condition_residual(model, x, p, positive))
+                                for x in _dedupe(xs, tol)]
+    return [DispersionRoot(point, branch, momentum, energy, residual)
+            for point, p in zip(points, params)
+            for branch, (energy, momentum, residual) in enumerate(sorted(by_param[p]))]
 
 
 def _condition_residual(model: LatticeModel, x: float, p: float, positive: bool) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -182,3 +183,35 @@ class TestEntryPoint:
             [sys.executable, "-m", "qglattice.cli", "frobnicate"],
             capture_output=True, text=True)
         assert proc.returncode == 1
+
+
+def run_module(*argv, **env):
+    return subprocess.run([sys.executable, "-m", "qglattice.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, **env})
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv,env", [
+        (("bands", "--lattice", "square", "--length", "nan", "--emin", "-1", "--emax", "1"), {}),
+        (("bands", "--lattice", "square", "--length", "inf", "--emin", "-1", "--emax", "1"), {}),
+        (("bands", "--lattice", "square", "--length", "1", "--emin=-inf", "--emax", "1"), {}),
+        (("dispersion", "--lattice", "hex", "--length", "nan", "--grid", "3", "--emax", "4"), {}),
+        (("verify", "--lattice", "square", "--lengths", "1,,2"), {}),
+        (("verify", "--lattice", "square", "--lengths", "1,nan"), {}),
+        (("star", "--degree", "4"), {"QGLATTICE_ROOT_ABS": "abc"}),
+        (("star", "--degree", "4"), {"QGLATTICE_RESIDUAL_ZERO": "nan"}),
+        (("star", "--degree", "4"), {"QGLATTICE_SCAN_DENSITY": "2"}),
+        (("star", "--degree", "4"), {"QGLATTICE_SCAN_DENSITY": "1.5"}),
+    ])
+    def test_usage_error_without_traceback(self, argv, env):
+        proc = run_module(*argv, **env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_unresolved_negative_band_is_numeric_failure(self):
+        proc = run_module("verify", "--lattice", "hex", "--lengths", "17")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("numeric failure:")
+        assert "Traceback" not in proc.stderr

@@ -44,6 +44,20 @@ def test_negative_spectrum_never_empty(kind, l):
     assert all(s.e_hi <= 1e-9 for s in negative)
 
 
+@pytest.mark.parametrize("kind,l", [("square", 28.0), ("hexagonal", 17.0)])
+def test_infimum_raises_when_the_narrow_band_is_not_resolved(kind, l):
+    # the negative band is narrower than the scan resolves; an unbounded
+    # window search exhausted memory before this raised
+    with pytest.raises(NumericError, match="no negative band"):
+        spectral_infimum(LatticeModel(kind, l))
+
+
+@pytest.mark.parametrize("length", [math.inf, math.nan, -1.0, 0.0])
+def test_model_rejects_nonpositive_or_nonfinite_length(length):
+    with pytest.raises(ValueError):
+        LatticeModel("square", length)
+
+
 @pytest.mark.parametrize("kind", ["square", "hexagonal"])
 def test_segments_stay_inside_window(kind):
     model = LatticeModel(kind, 1.3)

@@ -76,6 +76,11 @@ class TestMembership:
         assert not is_member(model(10.0), -0.5)
         assert not brillouin_membership_oracle(model(10.0), -0.5)
 
+    @pytest.mark.parametrize("l", [0.25, 1.0, 5.0, 10.0, 29.0])
+    def test_oracle_agrees_with_is_member_at_minus_one(self, l):
+        # E = -1 is the pole of the uncleared square condition (kappa = 1)
+        assert brillouin_membership_oracle(model(l), -1.0) == is_member(model(l), -1.0)
+
     def test_flat_energies_are_members(self):
         m = model(2.0)
         for mm in range(4):
