@@ -1,10 +1,10 @@
 """Command-line interface: spectra, scattering matrices, bands, dispersion data.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure.  All numeric output
-is serialized with 17 significant digits and is locale independent and
-deterministic.  Tolerances can be overridden through environment variables
-QGLATTICE_ROOT_ABS, QGLATTICE_RESIDUAL_ZERO, QGLATTICE_DEGENERATE_WIDTH and
-QGLATTICE_SCAN_DENSITY.
+Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 ``verify --strict``
+found a deviating claim.  All numeric output is serialized with 17 significant
+digits and is locale independent and deterministic.  Tolerances can be
+overridden through environment variables QGLATTICE_ROOT_ABS,
+QGLATTICE_RESIDUAL_ZERO, QGLATTICE_DEGENERATE_WIDTH and QGLATTICE_SCAN_DENSITY.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .numerics import NumericError, ToleranceConfig
 
 USAGE_ERROR = 1
 NUMERIC_ERROR = 2
+
+_MAX_DEGREE = 1000  # smatrix builds degree^2 entries
+_MAX_GRID = 256     # dispersion builds grid^2 Bloch points
 
 _DETCHECK_SEED = 20260809
 
@@ -50,6 +54,20 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    """argparse type: an integer n with lo <= n <= hi."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not lo <= value <= hi:
+            bound = f"at least {lo}" if value < lo else f"at most {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}")
+        return value
+    return parse
 
 
 def _tolerances() -> ToleranceConfig:
@@ -88,48 +106,40 @@ def _model(lattice_name: str, length: float) -> lattice.LatticeModel:
     return lattice.LatticeModel(kind, length)
 
 
-def _csv(header: str, rows: list[list]) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _write(args, header: str, rows: Iterable[list], doc: Callable[[], dict]) -> int:
+    """Emit rows as csv under header, or doc() as json; only the chosen side is built."""
+    if args.format == "csv":
+        lines = [header]
+        for row in rows:
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        _emit("\n".join(lines) + "\n", args.output)
+    else:
+        _emit(json.dumps(doc(), sort_keys=True, indent=2) + "\n", args.output)
+    return 0
 
 
 def cmd_star(args) -> int:
-    if args.degree < 3:
-        raise _UsageError("degree must be at least 3")
     spectrum = star.bound_states(args.degree, _tolerances())
     rows = [[m + 1, kappa, energy]
             for m, (kappa, energy) in enumerate(zip(spectrum.kappas, spectrum.energies))]
-    if args.format == "csv":
-        _emit(_csv("m,kappa,energy", rows), args.output)
-    else:
-        _emit(json.dumps({
-            "degree": spectrum.degree,
-            "levels": [{"m": r[0], "kappa": r[1], "energy": r[2]} for r in rows],
-        }, sort_keys=True, indent=2) + "\n", args.output)
-    return 0
+    return _write(args, "m,kappa,energy", rows, lambda: {
+        "degree": spectrum.degree,
+        "levels": [{"m": r[0], "kappa": r[1], "energy": r[2]} for r in rows],
+    })
 
 
 def cmd_smatrix(args) -> int:
-    if args.degree < 3:
-        raise _UsageError("degree must be at least 3")
     if args.k <= 0.0:
         raise _UsageError("momentum must be positive")
     sm = vertex.s_matrix(vertex.cyclic_coupling(args.degree), args.k)
-    residual = sm.unitarity_residual()
-    if args.format == "csv":
-        rows = [[i, j, float(sm.s[i, j].real), float(sm.s[i, j].imag)]
-                for i in range(args.degree) for j in range(args.degree)]
-        _emit(_csv("i,j,re,im", rows), args.output)
-    else:
-        _emit(json.dumps({
-            "degree": args.degree,
-            "k": args.k,
-            "unitarity_residual": residual,
-            "entries": [[[float(v.real), float(v.imag)] for v in row] for row in sm.s],
-        }, sort_keys=True, indent=2) + "\n", args.output)
-    return 0
+    re, im = sm.s.real.tolist(), sm.s.imag.tolist()
+    rows = ([i, j, re[i][j], im[i][j]] for i in range(args.degree) for j in range(args.degree))
+    return _write(args, "i,j,re,im", rows, lambda: {
+        "degree": args.degree,
+        "k": args.k,
+        "unitarity_residual": sm.unitarity_residual(),
+        "entries": [[list(v) for v in zip(re_row, im_row)] for re_row, im_row in zip(re, im)],
+    })
 
 
 def cmd_bands(args) -> int:
@@ -139,22 +149,16 @@ def cmd_bands(args) -> int:
     bands = lattice.band_structure(model, (args.emin, args.emax), args.range, _tolerances())
     rows = [[i, s.kind, int(s.degenerate), s.e_lo, s.e_hi]
             for i, s in enumerate(bands.segments)]
-    if args.format == "csv":
-        _emit(_csv("index,kind,degenerate,e_lo,e_hi", rows), args.output)
-    else:
-        _emit(json.dumps({
-            "model": model.kind,
-            "edge_length": model.edge_length,
-            "window": list(bands.window),
-            "segments": [dataclasses.asdict(s) for s in bands.segments],
-        }, sort_keys=True, indent=2) + "\n", args.output)
-    return 0
+    return _write(args, "index,kind,degenerate,e_lo,e_hi", rows, lambda: {
+        "model": model.kind,
+        "edge_length": model.edge_length,
+        "window": list(bands.window),
+        "segments": [dataclasses.asdict(s) for s in bands.segments],
+    })
 
 
 def cmd_dispersion(args) -> int:
     model = _model(args.lattice, args.length)
-    if args.grid < 2:
-        raise _UsageError("grid must be at least 2")
     if args.emax <= 0.0:
         raise _UsageError("emax must be positive")
     emin = args.emin if args.emin is not None else -args.emax
@@ -163,16 +167,12 @@ def cmd_dispersion(args) -> int:
     roots = lattice.dispersion_sheets(model, args.grid, (emin, args.emax), _tolerances())
     rows = [[r.point.theta1, r.point.theta2, r.branch, r.momentum, r.energy, r.residual]
             for r in roots]
-    if args.format == "csv":
-        _emit(_csv("theta1,theta2,branch,momentum,energy,residual", rows), args.output)
-    else:
-        _emit(json.dumps({
-            "model": model.kind,
-            "edge_length": model.edge_length,
-            "roots": [{"theta1": r[0], "theta2": r[1], "branch": r[2],
-                       "momentum": r[3], "energy": r[4], "residual": r[5]} for r in rows],
-        }, sort_keys=True, indent=2) + "\n", args.output)
-    return 0
+    return _write(args, "theta1,theta2,branch,momentum,energy,residual", rows, lambda: {
+        "model": model.kind,
+        "edge_length": model.edge_length,
+        "roots": [{"theta1": r[0], "theta2": r[1], "branch": r[2],
+                   "momentum": r[3], "energy": r[4], "residual": r[5]} for r in rows],
+    })
 
 
 def cmd_verify(args) -> int:
@@ -202,8 +202,6 @@ def cmd_verify(args) -> int:
 
 def cmd_detcheck(args) -> int:
     model = _model(args.lattice, args.length)
-    if args.samples < 1:
-        raise _UsageError("samples must be at least 1")
     rng = np.random.default_rng(_DETCHECK_SEED)
     cal = lattice.SECULAR_CALIBRATION[model.kind]
     worst = 0.0
@@ -226,13 +224,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("star", help="bound states of the star graph")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int_in(3, _MAX_DEGREE), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_star)
 
     p = sub.add_parser("smatrix", help="on-shell scattering matrix")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int_in(3, _MAX_DEGREE), required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
@@ -251,7 +249,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dispersion", help="dispersion sheet data over the Brillouin zone")
     p.add_argument("--lattice", choices=("square", "hex", "hexagonal"), required=True)
     p.add_argument("--length", type=_finite, required=True)
-    p.add_argument("--grid", type=int, required=True)
+    p.add_argument("--grid", type=_int_in(2, _MAX_GRID), required=True)
     p.add_argument("--emax", type=_finite, required=True)
     p.add_argument("--emin", type=_finite, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -262,14 +260,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--lattice", choices=("square", "hex", "hexagonal"), required=True)
     p.add_argument("--lengths", required=True, help="comma-separated edge lengths")
     p.add_argument("--strict", action="store_true",
-                   help="nonzero exit when any claim deviates")
+                   help="exit 3 when any claim deviates")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("detcheck", help="assembled vs factored secular determinant")
     p.add_argument("--lattice", choices=("square", "hex", "hexagonal"), required=True)
     p.add_argument("--length", type=_finite, default=1.0)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_int_in(1), required=True)
     p.set_defaults(func=cmd_detcheck)
 
     return parser

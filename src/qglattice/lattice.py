@@ -70,6 +70,8 @@ _SQRT3 = math.sqrt(3.0)
 _X_FLOOR = 1e-6          # smallest scanned momentum when a window touches E = 0
 _ALPHA_SINGULAR = 1e-12  # |alpha| below this counts as the vanishing coefficient
 _COSH_CAP = 700.0        # cosh overflows past this argument; saturate to inf
+_MAX_SCAN_POINTS = 4_000_000  # uniform scan points per call, ~32 MB per array
+_MAX_FLAT_LEVELS = 250_000    # flat levels per window; a default scan puts 16 points on each
 
 KINDS = ("square", "hexagonal")
 
@@ -277,6 +279,8 @@ def flat_bands(model: LatticeModel, window: tuple[float, float],
 
     m = 0 is included: the zero-energy eigenfunctions are constant on the
     elementary loops, so the spectrum contains E = 0 for every edge length.
+    A window with more than _MAX_FLAT_LEVELS levels, or with levels past
+    index 2^50, raises NumericError.
     """
     e_lo, e_hi = window
     if not e_lo < e_hi:
@@ -284,8 +288,14 @@ def flat_bands(model: LatticeModel, window: tuple[float, float],
     if e_hi < 0.0:
         return []
     l = model.edge_length
+    m_lo = math.sqrt(max(e_lo, 0.0)) * l / math.pi
+    m_hi = math.sqrt(e_hi) * l / math.pi
+    if not (m_hi - m_lo <= _MAX_FLAT_LEVELS and m_hi < 2.0 ** 50):
+        raise NumericError(f"energy window {window!r} at edge length {l!r} holds flat levels "
+                           f"{m_lo:.3g} to {m_hi:.3g}: more than {_MAX_FLAT_LEVELS} levels "
+                           f"or indices past 2^50")
     out: list[SpectralSegment] = []
-    m = 0
+    m = max(0, int(m_lo) - 1)
     while True:
         km = math.pi * m / l
         em = km * km
@@ -312,12 +322,18 @@ def _scan_grid(model: LatticeModel, x_lo: float, x_hi: float, positive: bool,
     sqrt(3).  Around the singular momenta the envelope functions can dip
     across zero in an exponentially narrow window (narrow negative bands at
     large edge length, range-endpoint grazing), so each singular anchor
-    carries a log-spaced ladder of offsets down to machine precision.
+    carries a log-spaced ladder of offsets down to machine precision.  A
+    range that needs more than _MAX_SCAN_POINTS uniform points raises
+    NumericError before anything is allocated.
     """
     l = model.edge_length
     osc = 1.0 if model.kind == "square" else 2.0
     step = math.pi / (tol.scan_density * osc * l)
-    n = max(64, int(math.ceil((x_hi - x_lo) / step)) + 1)
+    count = (x_hi - x_lo) / step
+    if not count <= _MAX_SCAN_POINTS:
+        raise NumericError(f"scanning momenta [{x_lo!r}, {x_hi!r}] at edge length {l!r} needs "
+                           f"{count:.3g} grid points, above the cap of {_MAX_SCAN_POINTS}")
+    n = max(64, int(math.ceil(count)) + 1)
     xs = [np.linspace(x_lo, x_hi, n)]
     singular = [1.0] if model.kind == "square" else [1.0, _SQRT3]
     anchors = list(singular)

@@ -20,7 +20,7 @@ _MAX_ITERATIONS = 200
 
 
 class NumericError(RuntimeError):
-    """An iterative routine exhausted its iteration budget."""
+    """A routine could not resolve its result within its iteration or size budget."""
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import DEFAULT_TOL, Bracket, NumericError, ToleranceConfig, find_root
+from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["StarSpectrum", "spectral_polynomial", "bound_states"]
 
@@ -43,36 +43,16 @@ def _root_count(n: int) -> int:
 def bound_states(n: int, tol: ToleranceConfig = DEFAULT_TOL) -> StarSpectrum:
     """Bound-state decay rates and energies of the degree-n star graph.
 
-    Each kappa is found twice: from the closed form tan(pi m / n) and by
-    root-finding the spectral polynomial in a bracket around it.  The two
-    must agree to 1e-10; kappa = 0 is a formal root of the polynomial but
-    not a normalizable state, and the bracketing keeps it out.
+    The decay rates are the closed form tan(pi m / n), m = 1 ... _root_count(n),
+    which rise with m.  kappa = 0 is a formal root of the polynomial but not a
+    normalizable state, so values at or below root_abs are dropped.
     """
     if n < 3:
         raise ValueError("degree must be at least 3")
-    count = _root_count(n)
-    kappas: list[float] = []
-    for m in range(1, count + 1):
-        closed = math.tan(math.pi * m / n)
-        if 2 * m + 1 < n:
-            hi = math.tan(math.pi * (m + 0.5) / n)
-        else:
-            # the next half-point sits on the tan pole for odd n; any point
-            # past the last root keeps the alternating sign
-            hi = closed + 1.0
-        lo = math.tan(math.pi * (m - 0.5) / n)
-        bracket = Bracket(lo, hi, spectral_polynomial(n, lo), spectral_polynomial(n, hi))
-        refined = find_root(lambda x: spectral_polynomial(n, x), bracket, tol)
-        if abs(refined - closed) > 1e-10:
-            raise NumericError(
-                f"closed-form and refined bound states disagree for n={n}, m={m}: "
-                f"{closed} vs {refined}"
-            )
-        if closed > tol.root_abs:
-            kappas.append(closed)
-    kappas.sort()
+    closed = (math.tan(math.pi * m / n) for m in range(1, _root_count(n) + 1))
+    kappas = tuple(k for k in closed if k > tol.root_abs)
     return StarSpectrum(
         degree=n,
-        kappas=tuple(kappas),
+        kappas=kappas,
         energies=tuple(-k * k for k in kappas),
     )

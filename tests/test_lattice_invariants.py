@@ -6,6 +6,8 @@ import pytest
 from qglattice.lattice import (
     LatticeModel,
     band_structure,
+    dispersion_sheets,
+    flat_bands,
     param_range,
     required_param,
     spectral_infimum,
@@ -71,3 +73,31 @@ def test_find_root_iteration_budget_is_bounded():
     f = lambda x: x - 1.0
     with pytest.raises(NumericError):
         find_root(f, Bracket(-1e300, 1e300, -1e300 - 1.0, 1e300 - 1.0))
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagonal"])
+def test_oversized_scan_grid_raises_before_allocating(kind):
+    # about 1e13 uniform points, 80 TB per array
+    model = LatticeModel(kind, 1e9)
+    with pytest.raises(NumericError, match="grid points"):
+        band_structure(model, (-1e6, -1.0))
+    with pytest.raises(NumericError, match="grid points"):
+        dispersion_sheets(model, 2, (-1e6, -1.0))
+
+
+@pytest.mark.parametrize("l,window", [
+    (1e9, (0.0, 1e6)),       # 3e11 levels
+    (1e300, (1e300, 2e300)),  # indices past float range
+])
+def test_flat_bands_cap(l, window):
+    with pytest.raises(NumericError, match="flat levels"):
+        flat_bands(LatticeModel("square", l), window)
+
+
+def test_flat_bands_of_a_high_window_are_those_of_the_full_ladder():
+    l, (e_lo, e_hi) = 1e3, (1e6, 1.001e6)
+    ks = (math.pi * m / l for m in range(int(1.1e3 * l / math.pi)))
+    expected = [k * k for k in ks if e_lo <= k * k <= e_hi]
+    got = flat_bands(LatticeModel("square", l), (e_lo, e_hi))
+    assert len(expected) > 100
+    assert [s.e_lo for s in got] == expected

@@ -2,7 +2,23 @@ import math
 
 import pytest
 
+from qglattice.numerics import DEFAULT_TOL, Bracket, find_root
 from qglattice.star import bound_states, spectral_polynomial
+
+
+def polynomial_roots(n):
+    """Oracle: the positive roots of the spectral polynomial, each found by
+    bracketed root search between the half-points tan(pi (m -+ 1/2) / n)."""
+    roots = []
+    for m in range(1, (n - 1) // 2 + 1 if n % 2 == 1 else n // 2):
+        closed = math.tan(math.pi * m / n)
+        lo = math.tan(math.pi * (m - 0.5) / n)
+        # for odd n the last upper half-point sits on the tan pole; any point
+        # past the last root keeps the alternating sign
+        hi = math.tan(math.pi * (m + 0.5) / n) if 2 * m + 1 < n else closed + 1.0
+        bracket = Bracket(lo, hi, spectral_polynomial(n, lo), spectral_polynomial(n, hi))
+        roots.append(find_root(lambda x: spectral_polynomial(n, x), bracket, DEFAULT_TOL))
+    return roots
 
 
 class TestSpectralPolynomial:
@@ -65,3 +81,19 @@ class TestBoundStates:
     def test_rejects_degree_two(self):
         with pytest.raises(ValueError):
             bound_states(2)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 40, 154])
+    def test_matches_polynomial_root_oracle(self, n):
+        kappas = bound_states(n).kappas
+        roots = polynomial_roots(n)
+        assert len(kappas) == len(roots)
+        for kappa, root in zip(kappas, roots):
+            assert abs(kappa - root) <= 1e-10
+
+    @pytest.mark.parametrize("n,count", [(155, 77), (1000, 499)])
+    def test_closed_form_past_polynomial_overflow(self, n, count):
+        # the polynomial overflows a float from n = 155 on; the closed form does not
+        spectrum = bound_states(n)
+        assert len(spectrum.kappas) == count
+        assert spectrum.kappas == tuple(math.tan(math.pi * m / n) for m in range(1, count + 1))
+        assert list(spectrum.kappas) == sorted(spectrum.kappas)
