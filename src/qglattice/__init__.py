@@ -6,72 +6,14 @@ graphs, on-shell scattering matrices, and Floquet-Bloch band structures of
 square and hexagonal lattices, each backed by independent brute-force
 cross-checks.
 """
-from .numerics import (
-    Bracket,
-    DEFAULT_TOL,
-    NumericError,
-    ToleranceConfig,
-    find_root,
-)
-from .vertex import (
-    BoundaryPair,
-    ScatteringMatrix,
-    VertexCoupling,
-    boundary_pair,
-    cyclic_coupling,
-    energy_limit,
-    s_matrix,
-    s_matrix_closed_form,
-)
-from .star import StarSpectrum, bound_states, spectral_polynomial
-from .lattice import (
-    BandStructure,
-    BlochPoint,
-    DegenerateLengths,
-    DispersionRoot,
-    LatticeModel,
-    ParamRange,
-    ParamRequirement,
-    SECULAR_CALIBRATION,
-    SpectralSegment,
-    band_structure,
-    bloch_param,
-    brillouin_membership_oracle,
-    degenerate_band_lengths,
-    dispersion_sheets,
-    flat_bands,
-    is_member,
-    param_range,
-    required_param,
-    secular_determinant,
-    secular_determinant_factored,
-    spectral_infimum,
-)
-from .verify import (
-    CLAIM_REGISTRY,
-    ClaimRecord,
-    verify_hexagonal,
-    verify_inconsistencies,
-    verify_square,
-)
+from . import lattice, numerics, star, verify, vertex
+from .numerics import *
+from .vertex import *
+from .star import *
+from .lattice import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bracket", "DEFAULT_TOL", "NumericError", "ToleranceConfig",
-    "find_root",
-    "BoundaryPair", "ScatteringMatrix", "VertexCoupling",
-    "boundary_pair", "cyclic_coupling", "energy_limit",
-    "s_matrix", "s_matrix_closed_form",
-    "StarSpectrum", "bound_states", "spectral_polynomial",
-    "BandStructure", "BlochPoint", "DegenerateLengths", "DispersionRoot",
-    "LatticeModel", "ParamRange", "ParamRequirement", "SECULAR_CALIBRATION",
-    "SpectralSegment", "band_structure", "bloch_param",
-    "brillouin_membership_oracle", "degenerate_band_lengths",
-    "dispersion_sheets", "flat_bands", "is_member", "param_range",
-    "required_param", "secular_determinant", "secular_determinant_factored",
-    "spectral_infimum",
-    "CLAIM_REGISTRY", "ClaimRecord",
-    "verify_hexagonal", "verify_inconsistencies", "verify_square",
-    "__version__",
-]
+__all__ = [*numerics.__all__, *vertex.__all__, *star.__all__, *lattice.__all__,
+           *verify.__all__, "__version__"]

@@ -131,7 +131,7 @@ def cmd_star(args) -> int:
 def cmd_smatrix(args) -> int:
     if args.k <= 0.0:
         raise _UsageError("momentum must be positive")
-    sm = vertex.s_matrix(vertex.cyclic_coupling(args.degree), args.k)
+    sm = vertex.s_matrix_closed_form(args.degree, args.k)
     re, im = sm.s.real.tolist(), sm.s.imag.tolist()
     rows = ([i, j, re[i][j], im[i][j]] for i in range(args.degree) for j in range(args.degree))
     return _write(args, "i,j,re,im", rows, lambda: {
@@ -231,7 +231,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("smatrix", help="on-shell scattering matrix")
     p.add_argument("--degree", type=_int_in(3, _MAX_DEGREE), required=True)
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_smatrix)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
-__all__ = ["StarSpectrum", "spectral_polynomial", "bound_states"]
+__all__ = ["StarSpectrum", "bound_states"]
 
 
 @dataclass(frozen=True)
@@ -21,19 +21,6 @@ class StarSpectrum:
     degree: int
     kappas: tuple[float, ...]
     energies: tuple[float, ...]
-
-
-def spectral_polynomial(n: int, kappa: float) -> float:
-    """Real-valued reduction of the bound-state condition at decay rate kappa.
-
-    (kappa - i)^N + (-1)^(N-1) (kappa + i)^N is purely real for odd N and
-    purely imaginary for even N; the corresponding real component is
-    returned so roots can be bracketed on the real line.
-    """
-    if n < 3:
-        raise ValueError("degree must be at least 3")
-    z = complex(kappa, 1.0) ** n
-    return 2.0 * (z.real if n % 2 == 1 else z.imag)
 
 
 def _root_count(n: int) -> int:

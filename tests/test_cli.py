@@ -72,6 +72,13 @@ class TestSmatrix:
         doc = json.loads(out)
         assert doc["unitarity_residual"] < 1e-10
 
+    def test_unitary_at_large_momentum(self, capsys):
+        # a dense solve of the rational form printed 4.6e-5 here
+        code, out, _ = run(capsys, "smatrix", "--degree", "4", "--k", "1e12",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["unitarity_residual"] <= 1e-15
+
     def test_nonpositive_momentum_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "smatrix", "--degree", "3", "--k", "-1")
         assert code == 1
@@ -209,6 +216,8 @@ class TestMalformedInput:
         (("star", "--degree", "4"), {"QGLATTICE_SCAN_DENSITY": "1.5"}),
         (("star", "--degree", "1001"), {}),
         (("smatrix", "--degree", "1001", "--k", "1"), {}),
+        (("smatrix", "--degree", "4", "--k", "inf"), {}),
+        (("smatrix", "--degree", "4", "--k", "nan"), {}),
         (("dispersion", "--lattice", "hex", "--length", "1", "--grid", "257", "--emax", "4"), {}),
         (("star", "--degree", "4.0"), {}),
     ])

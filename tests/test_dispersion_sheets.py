@@ -74,3 +74,17 @@ def test_roots_match_dense_scan_at_every_point(kind, l, grid_n):
             assert abs(r.momentum - x) <= 4.0 * DEFAULT_TOL.root_abs * max(1.0, x)
             assert r.energy == (1.0 if e > 0.0 else -1.0) * r.momentum * r.momentum
             assert r.residual < 1e-10
+
+
+def test_near_tangent_root_within_root_abs():
+    # At l = 2 the k^2 term of the square condition at p = 1 vanishes, so near
+    # l = 2 the small root sits where the condition is nearly tangent and
+    # rounding scatters exact zeros over about 3e-12 in momentum.  The
+    # reference is the root at theta = (0, 0) to 50 digits (mpmath 1.3.0).
+    l = 1.999245194081865
+    exact = 0.033659745075527629
+    model = LatticeModel("square", l)
+    roots = dispersion_sheets(model, 28, (-14.494744127188433, 14.494744127188433))
+    at_origin = [r for r in roots if r.point.theta1 == 0.0 and r.point.theta2 == 0.0]
+    assert at_origin[0].energy > 0.0
+    assert abs(at_origin[0].momentum - exact) <= DEFAULT_TOL.root_abs

@@ -3,7 +3,21 @@ import math
 import pytest
 
 from qglattice.numerics import DEFAULT_TOL, Bracket, find_root
-from qglattice.star import bound_states, spectral_polynomial
+from qglattice.star import bound_states
+
+
+def spectral_polynomial(n: int, kappa: float) -> float:
+    """Real-valued reduction of the bound-state condition at decay rate kappa.
+
+    (kappa - i)^N + (-1)^(N-1) (kappa + i)^N is purely real for odd N and
+    purely imaginary for even N; the corresponding real component is
+    returned so roots can be bracketed on the real line.  It overflows once
+    (1 + kappa^2)^(N/2) leaves float range, from N = 155 on.
+    """
+    if n < 3:
+        raise ValueError("degree must be at least 3")
+    z = complex(kappa, 1.0) ** n
+    return 2.0 * (z.real if n % 2 == 1 else z.imag)
 
 
 def polynomial_roots(n):
