@@ -194,14 +194,23 @@ def param_range(kind: str, mode: str = "derived") -> ParamRange:
 # --------------------------------------------------------------------------
 # Cleared spectral conditions
 
-def _cosh_safe(x):
+def _saturating(scalar, vector, x):
+    """scalar(x) or vector(x) for arguments below _COSH_CAP, inf above it."""
     if np.isscalar(x) or isinstance(x, float):
-        return math.cosh(x) if x < _COSH_CAP else math.inf
+        return scalar(x) if x < _COSH_CAP else math.inf
     x = np.asarray(x, dtype=float)
     out = np.full_like(x, np.inf)
     ok = x < _COSH_CAP
-    out[ok] = np.cosh(x[ok])
+    out[ok] = vector(x[ok])
     return out
+
+
+def _cosh_safe(x):
+    return _saturating(math.cosh, np.cosh, x)
+
+
+def _sinh_safe(x):
+    return _saturating(math.sinh, np.sinh, x)
 
 
 def _cleared_positive(model: LatticeModel, k):
@@ -224,6 +233,21 @@ def _cleared_negative(model: LatticeModel, kap):
 
 def _cleared(model: LatticeModel, x, positive: bool):
     return _cleared_positive(model, x) if positive else _cleared_negative(model, x)
+
+
+def _cleared_slope(model: LatticeModel, x, positive: bool):
+    """(alpha', beta'), the momentum derivatives of ``_cleared``; sinh saturates like cosh."""
+    l = model.edge_length
+    x2 = x * x
+    if model.kind == "square":
+        if positive:
+            return -2.0 * x, 2.0 * x * np.cos(x * l) - l * (1.0 + x2) * np.sin(x * l)
+        return 2.0 * x, -2.0 * x * _cosh_safe(x * l) + l * (1.0 - x2) * _sinh_safe(x * l)
+    if positive:
+        return 8.0 * x, (4.0 * x * (x2 - 3.0) - 4.0 * x * (x2 + 3.0) * np.cos(2.0 * x * l)
+                         + 2.0 * l * (x2 + 3.0) ** 2 * np.sin(2.0 * x * l))
+    return 8.0 * x, (4.0 * x * (x2 - 3.0) * _cosh_safe(2.0 * x * l)
+                     + 2.0 * l * (x2 - 3.0) ** 2 * _sinh_safe(2.0 * x * l) - 4.0 * x * (x2 + 3.0))
 
 
 def _identity_scale(model: LatticeModel, x: float) -> float:
@@ -371,12 +395,21 @@ def _condition_roots(model: LatticeModel, params, x_lo: float, x_hi: float, posi
     by ``find_root``, and grid points with |f_p| <= residual_zero * (1 + |alpha|
     * touch), exact zeros for touch = 0.  Callers merge near-duplicates with
     ``_dedupe``.
+
+    For touch > 0 (band edges) a cell can also hold a root pair: f_p keeps
+    one strict sign at both ends while its slope (``_cleared_slope``) points
+    toward zero at the left end and away from it at the right end.  The
+    extremum between is the slope's root; where f_p changes sign there, one
+    root on each side is refined.  Dispersion roots (touch = 0) use the
+    sign-change rule alone.
     """
     if not x_lo < x_hi:
         return [[] for _ in params]
     grid = _scan_grid(model, x_lo, x_hi, positive, tol)
     with np.errstate(over="ignore", invalid="ignore"):
         alpha, beta = _cleared(model, grid, positive)
+        if touch:
+            d_alpha, d_beta = _cleared_slope(model, grid, positive)
     zero = tol.residual_zero * (1.0 + np.abs(alpha) * touch) if touch else 0.0
     out: list[list[float]] = []
     for p in params:
@@ -384,11 +417,26 @@ def _condition_roots(model: LatticeModel, params, x_lo: float, x_hi: float, posi
             a, b = _cleared(model, x, positive)
             return b - a * _p
 
+        def slope(x: float, _p: float = p) -> float:
+            da, db = _cleared_slope(model, x, positive)
+            return db - da * _p
+
         fv = beta - alpha * p
         a, b = fv[:-1], fv[1:]
-        cross = np.nonzero(((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0)))[0]
+        sign = np.sign(fv)
+        ends = sign[:-1] * sign[1:]  # -1 across a strict sign change, +1 on one strict sign
         roots = [find_root(f, Bracket(float(grid[i]), float(grid[i + 1]), float(a[i]), float(b[i])), tol)
-                 for i in cross]
+                 for i in np.nonzero(ends < 0.0)[0]]
+        if touch:
+            sv = d_beta - d_alpha * p
+            heading = sign * np.sign(sv)  # -1 where |f_p| shrinks, +1 where it grows
+            for i in np.nonzero((ends > 0.0) & (heading[:-1] < 0.0) & (heading[1:] > 0.0))[0]:
+                x0, x1, f0, f1 = float(grid[i]), float(grid[i + 1]), float(a[i]), float(b[i])
+                xm = find_root(slope, Bracket(x0, x1, float(sv[i]), float(sv[i + 1])), tol)
+                fm = f(xm)
+                if x0 < xm < x1 and (fm <= 0.0 if f0 > 0.0 else fm >= 0.0):
+                    roots += [find_root(f, Bracket(x0, xm, f0, fm), tol),
+                              find_root(f, Bracket(xm, x1, fm, f1), tol)]
         out.append(roots + grid[np.abs(fv) <= zero].tolist())
     return out
 
@@ -409,7 +457,8 @@ def _ac_intervals(model: LatticeModel, x_lo: float, x_hi: float, positive: bool,
     Band edges are the momenta where the required parameter hits an end of
     its range: the ``_condition_roots`` of f_p for p at both range
     endpoints, with grid points where f_p nearly vanishes (relative to the
-    parameter term) kept as tangential touches.  The cuts of both endpoints
+    parameter term) kept as tangential touches, and root pairs that fall
+    inside one scan cell found from the slope of f_p.  The cuts of both endpoints
     are deduplicated together, starting from x_lo, and the cells between
     consecutive cuts are classified by membership at their midpoint.
     """
@@ -631,11 +680,13 @@ def secular_determinant_factored(model: LatticeModel, k: float, point: BlochPoin
 
 @lru_cache(maxsize=8)
 def _param_samples(kind: str, grid_n: int) -> np.ndarray:
-    """Bloch-parameter values on a torus grid, plus its exact critical values.
+    """Smallest and largest Bloch parameter on a torus grid plus its exact critical values.
 
-    The raw spectral condition is monotone in the parameter, so appending
-    the exact torus extrema (c = +-1, 0; d = 3, -3/2, -1) makes the sampled
-    min/max of the condition equal to its true extrema over the torus.
+    The grid is theta = -pi + 2 pi j / grid_n on both axes, joined by the
+    exact torus extrema (c = +-1, 0; d = 3, -3/2, -1).  The two values are
+    taken from the samples, not set to the nominal range ends, so they stay
+    the sampled extremes if grid rounding steps outside that range (for
+    grids of 64 to 699 points they equal the nominal ends).
     """
     th = -np.pi + 2.0 * np.pi * np.arange(1, grid_n + 1) / grid_n
     c, s = np.cos(th), np.sin(th)
@@ -645,17 +696,24 @@ def _param_samples(kind: str, grid_n: int) -> np.ndarray:
     else:
         vals = c[:, None] + c[None, :] + (np.outer(c, c) + np.outer(s, s))
         extra = np.array([3.0, -1.5, -1.0])
-    return np.concatenate([vals.ravel(), extra])
+    vals = np.concatenate([vals.ravel(), extra])
+    return np.array([vals.min(), vals.max()])
 
 
 def brillouin_membership_oracle(model: LatticeModel, e: float, grid_n: int = 512,
                                 tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Ground-truth membership: sample the raw (uncleared) spectral condition.
+    """Ground-truth membership from the raw (uncleared) spectral condition.
 
-    True when the condition changes sign over the sampled torus, falls
-    below the residual threshold, or e is a flat-band energy.  This route
-    never touches the cleared-denominator reduction and serves as the
-    arbiter for it in tests.
+    True when the condition changes sign over the Bloch parameters sampled
+    on a grid_n^2 torus grid, falls below the residual threshold, or e is a
+    flat-band energy.  The raw condition is affine in the parameter p, and
+    rounded multiply, subtract and divide by a positive number are monotone
+    in p, so its sampled min and max are its values at the two sampled
+    extremes of p (``_param_samples``); only those two are evaluated, with
+    the same answers as evaluating every sample.  This route never touches
+    the cleared-denominator reduction and checks it in tests.  It does not
+    check the range ends themselves; ``test_derived_range_matches_brute_force``
+    does.
     """
     if grid_n < 64:
         raise ValueError("oracle grid must be at least 64 points per axis")

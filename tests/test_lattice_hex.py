@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from qglattice.lattice import (
+    _cleared,
+    _cleared_slope,
+    _sinh_safe,
     BlochPoint,
     LatticeModel,
     band_structure,
@@ -18,6 +21,7 @@ from qglattice.lattice import (
     required_param,
     spectral_infimum,
 )
+from qglattice.numerics import DEFAULT_TOL
 
 SQRT3 = math.sqrt(3.0)
 
@@ -212,3 +216,71 @@ class TestOracle:
     def test_oracle_rejects_small_grid(self):
         with pytest.raises(ValueError):
             brillouin_membership_oracle(model(1.0), 1.0, grid_n=32)
+
+
+def _inside(bands, e: float) -> bool:
+    return any(s.e_lo <= e <= s.e_hi for s in bands.segments)
+
+
+class TestRootPairInOneScanCell:
+    """Both edges of a band can fall inside one scan cell near E = 3 (k = sqrt(3))."""
+
+    def test_both_bands_near_three_at_length_6p07(self):
+        bands = band_structure(model(6.07007457118372), (-7.032879412291194, 4.2501148530142405))
+        ac = [e for s in bands.segments if s.kind == "ac" and 2.5 < s.e_lo < 4.0 for e in (s.e_lo, s.e_hi)]
+        assert ac == pytest.approx([2.8370, 3.2569, 3.3108, 3.8048], abs=1e-4)
+        assert _inside(bands, 3.791436968047341)
+
+    def test_pair_between_scan_points_at_length_14p887(self):
+        m = model(14.887)
+        bands = band_structure(m, (-6.8967758341537655, 3.923900815761302))
+        assert is_member(m, 3.147435125753348)
+        assert _inside(bands, 3.147435125753348)
+
+    @pytest.mark.parametrize("l, edges", [(19.485, [2.7351, 2.8619, 2.8699, 3.0042]),
+                                          (16.906, [2.9554, 3.1126, 3.1206, 3.2876])])
+    def test_band_pairs_near_three_in_window_0_30(self, l, edges):
+        bands = band_structure(model(l), (0.0, 30.0))
+        ac = [e for s in bands.segments if s.kind == "ac" and edges[0] - 0.01 < s.e_lo < edges[-1]
+              for e in (s.e_lo, s.e_hi)]
+        assert ac == pytest.approx(edges, abs=1e-4)
+        assert all(is_member(model(l), 0.5 * (a + b)) for a, b in zip(ac[::2], ac[1::2]))
+
+    def test_segments_agree_with_is_member(self):
+        rng = np.random.default_rng(20261019)
+        window = (-8.0, 12.0)
+        differ = []
+        for l in rng.uniform(0.05, 30.0, size=60):
+            m = model(float(l))
+            bands = band_structure(m, window)
+            edges = [e for s in bands.segments if s.kind == "ac" for e in (s.e_lo, s.e_hi)]
+            for e in np.concatenate([rng.uniform(2.25, 3.75, 20), rng.uniform(*window, 20)]):
+                e = float(e)
+                if any(abs(e - edge) <= 4.0 * DEFAULT_TOL.root_abs * max(1.0, abs(e)) for edge in edges):
+                    continue
+                if _inside(bands, e) != is_member(m, e):
+                    differ.append((float(l), e))
+        assert not differ, differ[:5]
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagonal"])
+@pytest.mark.parametrize("positive", [True, False])
+def test_cleared_slope_matches_central_differences(kind, positive):
+    for l in (0.4, 1.7, 6.0):
+        m = LatticeModel(kind, l)
+        xs = np.linspace(0.05, 3.0, 41)
+        h = 1e-6 * xs
+        (a_hi, b_hi), (a_lo, b_lo) = _cleared(m, xs + h, positive), _cleared(m, xs - h, positive)
+        da, db = _cleared_slope(m, xs, positive)
+        _, b = _cleared(m, xs, positive)
+        assert np.allclose(da, (a_hi - a_lo) / (2.0 * h), rtol=1e-6, atol=1e-6)
+        scale = np.abs(db) + np.abs(b) / xs + 1.0
+        assert np.all(np.abs(db - (b_hi - b_lo) / (2.0 * h)) <= 1e-6 * scale)
+        # scalar evaluation, as the extremum search calls it, matches the grid row
+        assert _cleared_slope(m, float(xs[7]), positive)[1] == pytest.approx(float(db[7]), rel=1e-14)
+
+
+def test_sinh_saturates_like_cosh():
+    assert _sinh_safe(1.5) == math.sinh(1.5)
+    assert _sinh_safe(700.0) == math.inf
+    assert list(_sinh_safe(np.array([1.5, 800.0]))) == [math.sinh(1.5), math.inf]
